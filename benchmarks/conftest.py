@@ -15,7 +15,7 @@ import pathlib
 import pytest
 
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
-from repro.bench.sweep import sweep_partitions
+from repro.bench.sweep import _sweep_partitions
 from repro.core.sqlgen import PlanStyle
 from repro.tpch.configs import CONFIG_A, CONFIG_B, build_configuration
 
@@ -84,7 +84,7 @@ class SweepCache:
         key = (query, reduce, style)
         if key not in self._cache:
             tree = self.trees[query]
-            self._cache[key] = sweep_partitions(
+            self._cache[key] = _sweep_partitions(
                 tree,
                 self.db.schema,
                 self.conn,

@@ -4,7 +4,8 @@ Each case builds one algebra plan that stresses a single operator over the
 Configuration A TPC-H sample and measures wall-clock rows/second in three
 modes:
 
-* ``tuple`` — the row-at-a-time interpreter (fresh engine per repetition);
+* ``tuple`` — the streaming interpreter, drained (fresh engine per
+  repetition);
 * ``batch cold`` — the vectorized engine with empty caches (fresh engine
   per repetition: pays plan compilation and the kernels' real row work);
 * ``batch warm`` — the vectorized engine re-executing on one engine, where

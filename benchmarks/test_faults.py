@@ -24,7 +24,7 @@ import pathlib
 import time
 
 from repro.bench.queries import QUERY_1
-from repro.bench.sweep import sweep_partitions
+from repro.bench.sweep import _sweep_partitions
 from repro.core.silkroute import SilkRoute
 from repro.relational.cache import PlanResultCache
 from repro.relational.faults import FaultPolicy, RetryPolicy
@@ -41,7 +41,7 @@ def test_fault_soak(config_a, trees_a, report_writer):
     tree = trees_a["Q1"]
     retry = RetryPolicy()
 
-    baseline = sweep_partitions(
+    baseline = _sweep_partitions(
         tree, db.schema, conn, budget_ms=config.subquery_budget_ms,
         cache=PlanResultCache(),
     )
@@ -56,7 +56,7 @@ def test_fault_soak(config_a, trees_a, report_writer):
     for seed in SEEDS:
         for rate in ERROR_RATES:
             faults = FaultPolicy(seed=seed, error_rate=rate)
-            sweep = sweep_partitions(
+            sweep = _sweep_partitions(
                 tree, db.schema, conn,
                 budget_ms=config.subquery_budget_ms,
                 cache=PlanResultCache(),

@@ -24,10 +24,10 @@ import json
 import pathlib
 import time
 
-from repro.bench.queries import QUERY_1, load_view
-from repro.bench.sweep import sweep_partitions
+from repro.bench.queries import QUERY_1
 from repro.core.silkroute import SilkRoute
 from repro.relational.engine import QueryEngine
+from repro.session import Session
 from repro.tpch.configs import CONFIG_A, build_configuration
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,8 +37,9 @@ def timed_sweep(engine_mode, cache):
     """Run the Q1/A non-reduced sweep on a fresh configuration; return
     ``(sweep, wall_seconds, engine_seconds)`` where engine_seconds is the
     wall time spent inside ``QueryEngine.execute``."""
-    db, conn, _ = build_configuration(CONFIG_A)
-    tree = load_view(QUERY_1, db.schema)
+    _, conn, estimator = build_configuration(CONFIG_A)
+    session = Session(conn, estimator=estimator, cache=False)
+    session.view(QUERY_1)  # parse outside the timed region
     engine_s = [0.0]
     original = QueryEngine.execute
 
@@ -52,15 +53,13 @@ def timed_sweep(engine_mode, cache):
     QueryEngine.execute = instrumented
     try:
         start = time.perf_counter()
-        sweep = sweep_partitions(
-            tree,
-            db.schema,
-            conn,
+        sweep = session.sweep(
+            QUERY_1,
             reduce=False,
             budget_ms=CONFIG_A.subquery_budget_ms,
             cache=cache,
             engine=engine_mode,
-        )
+        ).sweep
         wall_s = time.perf_counter() - start
     finally:
         QueryEngine.execute = original

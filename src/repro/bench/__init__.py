@@ -4,7 +4,6 @@ from repro.bench.queries import QUERY_1, QUERY_2, SUPPLIER_DTD, load_view
 from repro.bench.sweep import (
     PlanTiming,
     SweepResult,
-    sweep_partitions,
     run_single_partition,
 )
 from repro.bench.report import (
@@ -22,7 +21,6 @@ __all__ = [
     "load_view",
     "PlanTiming",
     "SweepResult",
-    "sweep_partitions",
     "run_single_partition",
     "format_sweep_table",
     "format_series",

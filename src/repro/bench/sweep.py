@@ -15,7 +15,6 @@ bit-identical.  ``workers=N`` additionally fans partitions out over a
 thread pool with deterministic result ordering.
 """
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -204,19 +203,6 @@ def _run_single(tree, schema, connection, partition, generator, budget_ms,
         transfer_ms=transfer_ms,
         **resilience,
     )
-
-
-def sweep_partitions(tree, schema, connection, **kwargs):
-    """Deprecated module-level entry point — use
-    :meth:`repro.Session.sweep`, which wraps the same engine and returns
-    the unified :class:`~repro.session.QueryResult`.  This wrapper
-    delegates unchanged (same arguments, same :class:`SweepResult`) and
-    emits a :class:`DeprecationWarning`."""
-    warnings.warn(
-        "sweep_partitions() is deprecated; use repro.Session.sweep()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _sweep_partitions(tree, schema, connection, **kwargs)
 
 
 def _sweep_partitions(tree, schema, connection, style=UNSET,

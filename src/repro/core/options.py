@@ -2,7 +2,7 @@
 
 The execution-facing methods (``XmlView.materialize``, ``materialize_to``,
 ``execute_partition``, ``explain``, ``greedy_plan``,
-``repro.bench.sweep.sweep_partitions``) historically grew the same keyword
+``Session.sweep``) historically grew the same keyword
 sprawl — ``style``, ``reduce``, ``budget_ms``, ``workers``, and now
 ``retry``/``faults``.  :class:`ExecutionOptions` consolidates them: build
 one frozen object, pass it as ``options=`` everywhere, share it across

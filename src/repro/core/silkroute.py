@@ -1038,7 +1038,7 @@ class SilkRoute:
     """The middle-ware system: a connection plus view definitions.
 
     Cache wiring is one flow, shared with ``Connection(cache=...)`` and
-    ``sweep_partitions(cache=...)``: the cache lives in exactly one slot —
+    ``Session.sweep(cache=...)``: the cache lives in exactly one slot —
     the connection engine's
     :attr:`~repro.relational.engine.QueryEngine.cache` — and every entry
     point normalizes through

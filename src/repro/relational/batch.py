@@ -1,7 +1,8 @@
 """Columnar batches and compiled row codecs for the batch engine.
 
-The tuple engine moves Python tuples one at a time through per-row
-interpreter loops.  The batch engine (:mod:`repro.relational.vector_ops`)
+The tuple engine (the streaming interpreter in
+:mod:`repro.relational.engine`) moves Python tuples one at a time through
+a chain of generators.  The batch engine (:mod:`repro.relational.vector_ops`)
 instead passes :class:`Batch` objects between operators: a batch carries
 the *same* rows, but holds them in whichever representation the producing
 kernel built cheaply — row-major (a list of tuples, what scans, filters,
@@ -17,8 +18,8 @@ is the inverse ``zip(*rows)``.  Conversions honour the engine's
 chunks (bounding the transient working set) without changing a single
 output value.
 
-Batches are value-immutable by contract, exactly like the tuple engine's
-result rows: they are shared through the engine's common-subexpression
+Batches are value-immutable by contract, exactly like the rows in the
+tuple engine's sub-plan memo: they are shared through the engine's common-subexpression
 memo and the plan-result cache, so neither the row list nor the column
 lists may be mutated after construction.
 """

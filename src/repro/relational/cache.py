@@ -231,7 +231,7 @@ def resolve_cache(cache):
     """Normalize the one cache-wiring convention shared by every layer.
 
     ``SilkRoute(cache=...)``, ``Connection(cache=...)``, the
-    ``Connection.cache`` property, and ``sweep_partitions(cache=...)`` all
+    ``Connection.cache`` property, and ``Session.sweep(cache=...)`` all
     funnel through this: ``True`` builds a fresh :class:`PlanResultCache`,
     ``False``/``None`` disables caching, and an instance (possibly empty —
     ``len()`` is falsy) is used as-is, which is how one cache is shared
@@ -250,7 +250,7 @@ class PlanResultCache:
     """Thread-safe LRU cache of plan execution outcomes.
 
     Install one on a :class:`~repro.relational.engine.QueryEngine` (or pass
-    ``cache=`` to ``Connection`` / ``sweep_partitions`` / ``SilkRoute``) and
+    ``cache=`` to ``Connection`` / ``Session.sweep`` / ``SilkRoute``) and
     every ``execute`` call consults it.  Rows are returned by reference;
     callers must treat result rows as immutable (the engine's own
     common-subexpression memo already shares them the same way).

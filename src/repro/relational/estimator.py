@@ -13,7 +13,6 @@ greedy algorithm issues far fewer estimate requests than the worst case
 because combined queries recur.
 """
 
-import math
 from dataclasses import dataclass
 
 from repro.common.errors import QueryError
@@ -240,9 +239,7 @@ class CostEstimator:
         card = left.cardinality * right.cardinality * selectivity
         model = self.cost_model
         cost = left.server_ms + right.server_ms + model.scaled(
-            right.cardinality * model.hash_row_ms
-            + left.cardinality * model.probe_row_ms
-            + card * model.join_out_row_ms
+            model.join_ms(right.cardinality, left.cardinality, card)
         )
         distincts = _cap_distincts({**left.distincts, **right.distincts}, card)
         return Estimate(card, left.row_width + right.row_width, cost, distincts)
@@ -260,9 +257,9 @@ class CostEstimator:
         card = max(left.cardinality, matched)
         model = self.cost_model
         cost = left.server_ms + right.server_ms + model.scaled(
-            right.cardinality * model.hash_row_ms
-            + left.cardinality * len(op.branches) * model.probe_row_ms
-            + card * model.join_out_row_ms
+            model.outer_join_ms(
+                right.cardinality, left.cardinality, len(op.branches), card
+            )
         )
         if algebra.outer_join_nesting(op.right) >= model.reevaluation_threshold:
             # Mirror the engine's derived-table re-evaluation penalty so
@@ -299,15 +296,7 @@ class CostEstimator:
     def _estimate_sort(self, op):
         child = self.estimate(op.child)
         model = self.cost_model
-        n = max(child.cardinality, 1.0)
-        comparisons = n * math.log2(n + 1)
-        cost = comparisons * model.sort_cmp_ms * (
-            1.0 + child.row_width / model.sort_width_norm
-        )
-        total_bytes = n * child.row_width
-        if total_bytes > model.sort_memory_bytes:
-            overflow = total_bytes / model.sort_memory_bytes - 1.0
-            cost *= 1.0 + model.spill_factor * overflow
+        cost = model.sort_ms(max(child.cardinality, 1.0), child.row_width)
         return Estimate(
             cardinality=child.cardinality,
             row_width=child.row_width,

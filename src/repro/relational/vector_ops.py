@@ -2,26 +2,28 @@
 
 :func:`compile_plan` lowers a relational-algebra plan into a tree of
 closures, one per operator, each mapping the runtime charge accumulator to
-a :class:`~repro.relational.batch.Batch`.  Everything that the tuple
-engine re-derives per execution — predicate dispatch, projection plans,
+a :class:`~repro.relational.batch.Batch`.  Everything that the streaming
+interpreter re-derives per execution — predicate dispatch, projection plans,
 join key extractors, column positions, outer-join nesting depth,
 fingerprints — is resolved once here, at compile time; the closures then
 run tight C-level loops (listcomps, ``zip``, ``sorted``, ``dict``) over
 whole columns in ``batch_size`` chunks.
 
-The batch engine is the tuple engine's *identical twin*, not an
-approximation.  Every kernel performs the same logical work in the same
-order and applies the same cost-model formula to the same counts, so the
-charge log — every ``(label, ms, rows)`` triple, in order — is
-bit-identical to :meth:`QueryEngine._eval
-<repro.relational.engine.QueryEngine.execute>`'s.  The load-bearing
+The batch engine is the *identical twin* of the tuple engine — the
+streaming interpreter that ``QueryEngine.execute(engine="tuple")`` drains
+— not an approximation.  Every kernel performs the same logical work in
+the same order and charges the compound costs through the same
+:class:`~repro.relational.engine.CostModel` methods on the same counts, so
+the charge log — every ``(label, ms, rows)`` triple, in order — is
+bit-identical to :meth:`QueryEngine.execute_iter
+<repro.relational.engine.QueryEngine.execute_iter>`'s.  The load-bearing
 details:
 
 * sub-plan sharing: each compiled node checks the per-execution memo by
   fingerprint and charges the same ``rescan`` cost on hits, in the same
   recursion order (left before right);
 * the outer-join re-evaluation penalty is a *running-total delta* around
-  the right side's evaluation, reproduced with the same float arithmetic;
+  the right side's evaluation, taken at the same snapshot points;
 * union charges count rows after duplicate elimination, distinct uses
   first-occurrence order (``dict.fromkeys``), and sorts reproduce the
   ``NULLS FIRST`` relation of :class:`~repro.common.ordering.NoneFirst`
@@ -34,7 +36,6 @@ details:
 engine publishes them as per-operator metrics when observability is on.
 """
 
-import math
 from operator import itemgetter
 
 from repro.common.errors import ExecutionError
@@ -72,6 +73,51 @@ def _key_plan(positions):
 
 def _EMPTY_KEY(row):
     return ()
+
+
+def _join_keys(op, equalities):
+    """``(build_get, build_single, probe_get, probe_single)``: the key
+    plans of a hash join that builds on ``op.right`` and probes with
+    ``op.left`` over ``(left, right)`` column ``equalities``."""
+    left_pos = op.left.positions()
+    right_pos = op.right.positions()
+    return (
+        *_key_plan([right_pos[r] for _, r in equalities]),
+        *_key_plan([left_pos[l] for l, _ in equalities]),
+    )
+
+
+def _branch_plans(op):
+    """Per branch of a :class:`LeftOuterJoin`: ``(build_get, build_single,
+    tag_position, tag_value, probe_get, probe_single)``."""
+    right_pos = op.right.positions()
+    plans = []
+    for branch in op.branches:
+        build_get, build_single, probe_get, probe_single = _join_keys(
+            op, branch.equalities
+        )
+        tag_position = (
+            None if branch.tag_column is None
+            else right_pos[branch.tag_column]
+        )
+        plans.append((build_get, build_single, tag_position,
+                      branch.tag_value, probe_get, probe_single))
+    return plans
+
+
+def _projection_plan(op):
+    """Per output column of a :class:`Project`: ``(True, child position)``
+    for a column reference, ``(False, value)`` for a constant."""
+    positions = op.child.positions()
+    plan = []
+    for item in op.items:
+        if isinstance(item.expr, ColumnRef):
+            plan.append((True, positions[item.expr.name]))
+        elif isinstance(item.expr, Literal):
+            plan.append((False, item.expr.value))
+        else:
+            raise ExecutionError(f"unsupported projection {item.expr!r}")
+    return plan
 
 
 def _hash_index(rows, key_get, single):
@@ -144,9 +190,9 @@ class _PlanCompiler:
     Kernels split into two halves.  The *charge* half — child evaluation
     order, memo checks, cost-model formulas, running-total deltas — always
     runs live, so the simulated clock and charge log are bit-identical to
-    the tuple engine's on every execution.  The *data* half — the actual
-    row work — is deterministic given the sub-plan fingerprint and the
-    generations of the base tables the sub-plan reads, so its result
+    the streaming interpreter's on every execution.  The *data* half — the
+    actual row work — is deterministic given the sub-plan fingerprint and
+    the generations of the base tables the sub-plan reads, so its result
     :class:`Batch` is cached in the engine's
     :class:`~repro.relational.cache.NodeResultCache` under that dependency
     footprint and shared across executions; a mutation invalidates only
@@ -162,7 +208,7 @@ class _PlanCompiler:
 
     def compile(self, op):
         """Compile one operator, wrapped in the shared-sub-plan memo check
-        (the optimizer's common-subexpression reuse, as in ``_eval``)."""
+        (the optimizer's common-subexpression reuse, as in ``_stream``)."""
         fresh = self._fresh(op)
         fingerprint = op.fingerprint()
         rescan_row_ms = self.model.rescan_row_ms
@@ -260,15 +306,7 @@ class _PlanCompiler:
 
     def _project(self, op):
         child = self.compile(op.child)
-        positions = op.child.positions()
-        plan = []
-        for item in op.items:
-            if isinstance(item.expr, ColumnRef):
-                plan.append((True, positions[item.expr.name]))
-            elif isinstance(item.expr, Literal):
-                plan.append((False, item.expr.value))
-            else:
-                raise ExecutionError(f"unsupported projection {item.expr!r}")
+        plan = _projection_plan(op)
         project_row_ms = self.model.project_row_ms
         batch_size = self.batch_size
 
@@ -311,8 +349,8 @@ class _PlanCompiler:
             result = results.get(fp)
             if result is None:
                 # dict.fromkeys is the C spelling of first-occurrence dedup
-                # — the same output order as the tuple engine's seen-set
-                # loop.
+                # — the same output order as the streaming interpreter's
+                # seen-set loop.
                 out = list(dict.fromkeys(batch.rows(batch_size)))
                 result = Batch.from_rows(out, arity)
                 results.store(fp, result, tables)
@@ -325,19 +363,11 @@ class _PlanCompiler:
     def _inner_join(self, op):
         left = self.compile(op.left)
         right = self.compile(op.right)
-        left_pos = op.left.positions()
-        right_pos = op.right.positions()
-        build_get, build_single = _key_plan(
-            [right_pos[r] for _, r in op.equalities]
-        )
-        probe_get, probe_single = _key_plan(
-            [left_pos[l] for l, _ in op.equalities]
+        build_get, build_single, probe_get, probe_single = _join_keys(
+            op, op.equalities
         )
         arity = len(op.columns())
-        model = self.model
-        hash_row_ms = model.hash_row_ms
-        probe_row_ms = model.probe_row_ms
-        join_out_row_ms = model.join_out_row_ms
+        join_ms = self.model.join_ms
         batch_size = self.batch_size
 
         results = self.results
@@ -375,10 +405,7 @@ class _PlanCompiler:
                 results.store(fp, result, tables)
             _note_batches(charges, "join", n_left + n_right, batch_size)
             charges.charge(
-                "join",
-                n_right * hash_row_ms
-                + n_left * probe_row_ms
-                + result.length * join_out_row_ms,
+                "join", join_ms(n_right, n_left, result.length),
                 n_left + n_right,
             )
             return result
@@ -388,37 +415,16 @@ class _PlanCompiler:
     def _outer_join(self, op):
         left = self.compile(op.left)
         right = self.compile(op.right)
-        left_pos = op.left.positions()
-        right_pos = op.right.positions()
         null_pad = (None,) * len(op.right.columns())
-        branch_plans = []
-        for branch in op.branches:
-            build_get, build_single = _key_plan(
-                [right_pos[r] for _, r in branch.equalities]
-            )
-            tag_position = (
-                right_pos[branch.tag_column]
-                if branch.tag_column is not None else None
-            )
-            probe_get, probe_single = _key_plan(
-                [left_pos[l] for l, _ in branch.equalities]
-            )
-            branch_plans.append(
-                (build_get, build_single, tag_position, branch.tag_value,
-                 probe_get, probe_single)
-            )
+        branch_plans = _branch_plans(op)
         # 'Optimizer stress' is plan-structural: resolved at compile time.
         penalized = (
             algebra.outer_join_nesting(op.right)
             >= self.model.reevaluation_threshold
         )
         arity = len(op.columns())
-        model = self.model
-        hash_row_ms = model.hash_row_ms
-        probe_row_ms = model.probe_row_ms
-        join_out_row_ms = model.join_out_row_ms
-        reevaluation_factor = model.reevaluation_factor
-        speed = model.speed
+        outer_join_ms = self.model.outer_join_ms
+        reevaluation_penalty_ms = self.model.reevaluation_penalty_ms
         n_branches = len(op.branches)
         batch_size = self.batch_size
 
@@ -429,7 +435,8 @@ class _PlanCompiler:
         def fresh(charges):
             left_batch = left(charges)
             # The re-evaluation penalty is a running-total delta around the
-            # right side, with the same snapshot points as the tuple engine.
+            # right side, with the same snapshot points as the streaming
+            # interpreter.
             right_start_ms = charges.total_ms
             right_batch = right(charges)
             right_cost_ms = charges.total_ms - right_start_ms
@@ -479,21 +486,14 @@ class _PlanCompiler:
             )
             charges.charge(
                 "outer_join",
-                build_work * hash_row_ms
-                + n_left * n_branches * probe_row_ms
-                + result.length * join_out_row_ms,
+                outer_join_ms(build_work, n_left, n_branches, result.length),
                 n_left + n_right,
             )
             if penalized:
-                # Already-scaled ms: divide the speed back out (see the
-                # tuple engine's twin charge).
-                reevaluations = max(n_left - 1, 0)
-                penalty = (
-                    reevaluations * right_cost_ms * reevaluation_factor
+                charges.charge(
+                    "outer_join_reevaluation",
+                    reevaluation_penalty_ms(n_left, right_cost_ms),
                 )
-                if speed:
-                    penalty /= speed
-                charges.charge("outer_join_reevaluation", penalty)
             return result
 
         return fresh
@@ -559,11 +559,7 @@ class _PlanCompiler:
         child_tables = plan_tables(op.child)
         engine = self.engine
         arity = len(op.columns())
-        model = self.model
-        sort_cmp_ms = model.sort_cmp_ms
-        sort_width_norm = model.sort_width_norm
-        sort_memory_bytes = model.sort_memory_bytes
-        spill_factor = model.spill_factor
+        sort_ms = self.model.sort_ms
         batch_size = self.batch_size
 
         results = self.results
@@ -579,7 +575,7 @@ class _PlanCompiler:
                 if key_plan and n:
                     # Stable single-key passes, last key first:
                     # lexicographic by (k1, k2, ...) with ties in input
-                    # order — exactly the tuple engine's
+                    # order — exactly the streaming interpreter's
                     # sorted(key=sort_key(...)).
                     out = rows
                     for position, getter in reversed(key_plan):
@@ -592,22 +588,14 @@ class _PlanCompiler:
 
             if n:
                 # Width sampling sees the *input-order* rows, as in the
-                # tuple engine; the estimate is cached per (child plan,
-                # dependency generations) and shared across engines.
+                # streaming interpreter; the estimate is cached per (child
+                # plan, dependency generations) and shared across engines.
                 row_bytes = engine._row_bytes_for(
                     child_fp, child_columns, batch.rows(batch_size),
                     child_tables,
                 )
-                comparisons = n * math.log2(n + 1)
-                cost = comparisons * sort_cmp_ms * (
-                    1.0 + row_bytes / sort_width_norm
-                )
-                total_bytes = n * row_bytes
-                if total_bytes > sort_memory_bytes:
-                    overflow = total_bytes / sort_memory_bytes - 1.0
-                    cost *= 1.0 + spill_factor * overflow
                 _note_batches(charges, "sort", n, batch_size)
-                charges.charge("sort", cost, n)
+                charges.charge("sort", sort_ms(n, row_bytes), n)
             return result
 
         return fresh

@@ -2,8 +2,8 @@
 
 Historically each capability grew its own entry point: materialization
 lived on :class:`~repro.core.silkroute.XmlView`, sweeps in
-:func:`repro.bench.sweep.sweep_partitions`, mutations in ad-hoc driver
-code (the CLI's delta synthesizer).  :class:`Session` consolidates them
+:mod:`repro.bench.sweep`, mutations in the CLI's ad-hoc delta
+synthesizer.  :class:`Session` consolidates them
 behind one object with one return type::
 
     from repro import Session
@@ -34,6 +34,7 @@ reuse and request coalescing process-wide.
 
 from dataclasses import dataclass, field
 
+from repro.bench.sweep import _sweep_partitions
 from repro.core.options import ExecutionOptions, RequestContext  # noqa: F401
 from repro.core.silkroute import SilkRoute
 
@@ -390,10 +391,3 @@ class Session:
         stats["generation"] = self.database.table(table).version
         return QueryResult(mutated=changed, table=table, stats=stats)
 
-
-def _sweep_partitions(tree, schema, connection, **kwargs):
-    """The sweep engine behind :meth:`Session.sweep` and the deprecated
-    module-level :func:`repro.bench.sweep.sweep_partitions`."""
-    from repro.bench import sweep as _sweep_module
-
-    return _sweep_module._sweep_partitions(tree, schema, connection, **kwargs)

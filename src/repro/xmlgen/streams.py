@@ -190,9 +190,8 @@ class StreamInstanceCache:
     affected streams only.
     """
 
-    def __init__(self, max_entries=512, max_bytes=None):
+    def __init__(self, max_entries=512):
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -202,9 +201,12 @@ class StreamInstanceCache:
 
     @staticmethod
     def _size(value):
-        """Bytes charged against ``max_bytes`` for one entry; the base
-        class does not charge (entry-count bound only)."""
+        """Bytes one entry counts towards ``stats()["bytes"]``; the base
+        class is bounded by entry count only and counts none."""
         return 0
+
+    def _over_budget(self):
+        return len(self._entries) > self.max_entries
 
     def __len__(self):
         return len(self._entries)
@@ -227,11 +229,7 @@ class StreamInstanceCache:
                 self._bytes -= self._size(previous)
             self._entries[key] = instances
             self._bytes += self._size(instances)
-            while self._entries and (
-                len(self._entries) > self.max_entries
-                or (self.max_bytes is not None
-                    and self._bytes > self.max_bytes)
-            ):
+            while self._entries and self._over_budget():
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= self._size(evicted)
                 self.evictions += 1
@@ -275,12 +273,18 @@ class XmlDocumentCache(StreamInstanceCache):
     """
 
     def __init__(self, max_entries=64, max_bytes=None):
-        super().__init__(max_entries=max_entries, max_bytes=max_bytes)
+        super().__init__(max_entries=max_entries)
+        self.max_bytes = max_bytes
 
     @staticmethod
     def _size(value):
         xml, _tagger = value
         return len(xml)
+
+    def _over_budget(self):
+        return super()._over_budget() or (
+            self.max_bytes is not None and self._bytes > self.max_bytes
+        )
 
 
 def iter_instances(tree, specs, row_sources, layout=None,

@@ -13,8 +13,8 @@ from repro.bench.report import format_series, format_sweep_table, summarize_swee
 from repro.bench.sweep import (
     PlanTiming,
     SweepResult,
+    _sweep_partitions,
     run_single_partition,
-    sweep_partitions,
 )
 
 
@@ -47,7 +47,7 @@ class TestSweep:
             Partition([(1, 1), (1, 2), (1, 3)]),
             Partition([(1, 4), (1, 4, 1)]),
         ]
-        return sweep_partitions(
+        return _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, partitions=partitions,
             reduce=True,
         )
@@ -74,7 +74,7 @@ class TestSweep:
 
     def test_progress_callback(self, q1_tree, tiny_db, tiny_conn):
         calls = []
-        sweep_partitions(
+        _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn,
             partitions=[fully_partitioned(q1_tree)],
             progress=lambda done, total: calls.append((done, total)),
@@ -84,7 +84,7 @@ class TestSweep:
 
 class TestReporting:
     def test_format_series(self, q1_tree, tiny_db, tiny_conn):
-        sweep = sweep_partitions(
+        sweep = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn,
             partitions=[fully_partitioned(q1_tree), Partition([(1, 1)])],
         )
@@ -112,7 +112,7 @@ class TestReporting:
 
     def test_summarize_sweep(self, q1_tree, tiny_db, tiny_conn):
         partitions = [fully_partitioned(q1_tree), Partition([(1, 1)])]
-        sweep = sweep_partitions(
+        sweep = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, partitions=partitions
         )
         summary = summarize_sweep(
@@ -145,10 +145,10 @@ class TestCachedAndParallelSweep:
         self, q1_tree, tiny_db, tiny_conn, sample
     ):
         kwargs = dict(partitions=sample, reduce=True, budget_ms=50.0)
-        uncached = sweep_partitions(
+        uncached = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False, **kwargs
         )
-        cached = sweep_partitions(
+        cached = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=True, **kwargs
         )
         assert cached.timings == uncached.timings
@@ -157,10 +157,10 @@ class TestCachedAndParallelSweep:
 
     def test_workers_match_serial(self, q1_tree, tiny_db, tiny_conn, sample):
         kwargs = dict(partitions=sample, reduce=True, budget_ms=50.0)
-        serial = sweep_partitions(
+        serial = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False, **kwargs
         )
-        threaded = sweep_partitions(
+        threaded = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False, workers=3,
             **kwargs
         )
@@ -169,16 +169,16 @@ class TestCachedAndParallelSweep:
     def test_workers_with_shared_cache(self, q1_tree, tiny_db, tiny_conn, sample):
         from repro.relational.cache import PlanResultCache
 
-        serial = sweep_partitions(
+        serial = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False,
             partitions=sample, reduce=True,
         )
         shared = PlanResultCache()
-        first = sweep_partitions(
+        first = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=shared, workers=2,
             partitions=sample, reduce=True,
         )
-        second = sweep_partitions(
+        second = _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=shared, workers=2,
             partitions=sample, reduce=True,
         )
@@ -189,7 +189,7 @@ class TestCachedAndParallelSweep:
 
     def test_sweep_restores_engine_cache(self, q1_tree, tiny_db, tiny_conn):
         before = tiny_conn.engine.cache
-        sweep_partitions(
+        _sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn,
             partitions=[fully_partitioned(q1_tree)],
         )

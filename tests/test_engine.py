@@ -19,8 +19,9 @@ from repro.relational.algebra import (
     Scan,
     Sort,
 )
+from repro.relational.cache import PlanResultCache
 from repro.relational.database import Database
-from repro.relational.engine import CostModel, QueryEngine
+from repro.relational.engine import ENGINE_MODES, CostModel, QueryEngine
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
 from repro.relational.types import SqlType
 
@@ -56,9 +57,39 @@ def db():
     return database
 
 
+class EveryMode:
+    """A :class:`QueryEngine` stand-in that runs each plan under every
+    mode in ``ENGINE_MODES``, asserts that rows and charges agree bit for
+    bit, and returns the tuple interpreter's result.  It covers both
+    interpreters the way a parametrized fixture would, without renaming
+    the tests that use it."""
+
+    def __init__(self, db, cost_model=None):
+        self.cost_model = cost_model or CostModel()
+        self.engines = {
+            mode: QueryEngine(db, self.cost_model, engine=mode)
+            for mode in ENGINE_MODES
+        }
+
+    def execute(self, plan, **kwargs):
+        results = {
+            mode: engine.execute(plan, **kwargs)
+            for mode, engine in self.engines.items()
+        }
+        reference = results["tuple"]
+        for result in results.values():
+            assert result.rows == reference.rows
+            assert result.server_ms == reference.server_ms
+            assert result.rows_examined == reference.rows_examined
+            assert list(result.breakdown.items()) == list(
+                reference.breakdown.items()
+            )
+        return reference
+
+
 @pytest.fixture
 def engine(db):
-    return QueryEngine(db, CostModel())
+    return EveryMode(db)
 
 
 def dept(db):
@@ -230,6 +261,24 @@ class TestSharing:
         combined = engine.execute(plan).breakdown
         assert combined["join"] == pytest.approx(single["join"])
 
+    def test_tuple_execute_matches_drained_iterator(self, db):
+        """``engine="tuple"`` drains the streaming interpreter, so its
+        charge log equals a drained :meth:`QueryEngine.execute_iter`'s."""
+        shared = InnerJoin(emp(db), dept(db), [("e.deptno", "d.deptno")])
+        plan = OuterUnion([
+            Project(shared, [ProjectItem(ColumnRef("e.ename"), "x")]),
+            Project(shared, [ProjectItem(ColumnRef("d.dname"), "x")]),
+        ])
+        cached = QueryEngine(db, CostModel(), cache=PlanResultCache())
+        executed = cached.execute(plan, engine="tuple")
+        charge_log = cached.cache.peek(cached.cache_key_for(plan)).charge_log
+        streamed = QueryEngine(db, CostModel()).execute_iter(plan)
+        streamed._charges.log = []
+        assert list(streamed) == executed.rows
+        assert tuple(streamed._charges.log) == charge_log
+        assert any(label == "rescan" for label, _, _ in charge_log)
+        assert streamed.server_ms == executed.server_ms
+
     def test_no_sharing_across_executions(self, engine, db):
         plan = dept(db)
         first = engine.execute(plan).breakdown
@@ -254,21 +303,21 @@ class TestReevaluationPenalty:
     def test_depth_two_triggers_reevaluation(self, db):
         # right side of the OUTER join has nesting 1 -> below threshold.
         model = CostModel(reevaluation_threshold=1)
-        stressed = QueryEngine(db, model).execute(self._nested(db))
-        relaxed = QueryEngine(db, model.without("reevaluation_factor")).execute(
+        stressed = EveryMode(db, model).execute(self._nested(db))
+        relaxed = EveryMode(db, model.without("reevaluation_factor")).execute(
             self._nested(db)
         )
         assert stressed.server_ms > relaxed.server_ms
         assert "outer_join_reevaluation" in stressed.breakdown
 
     def test_default_threshold_spares_single_nesting(self, db):
-        result = QueryEngine(db, CostModel()).execute(self._nested(db))
+        result = EveryMode(db).execute(self._nested(db))
         assert "outer_join_reevaluation" not in result.breakdown
 
     def test_results_unaffected_by_penalty(self, db):
         model = CostModel(reevaluation_threshold=1)
-        a = QueryEngine(db, model).execute(self._nested(db))
-        b = QueryEngine(db, model.without("reevaluation_factor")).execute(
+        a = EveryMode(db, model).execute(self._nested(db))
+        b = EveryMode(db, model.without("reevaluation_factor")).execute(
             self._nested(db)
         )
         assert a.rows == b.rows

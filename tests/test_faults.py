@@ -22,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1
-from repro.bench.sweep import sweep_partitions
 from repro.common.errors import TransientConnectionError
 from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
@@ -35,6 +34,7 @@ from repro.relational.faults import (
     FaultPolicy,
     RetryPolicy,
 )
+from repro.session import Session
 
 
 @pytest.fixture
@@ -503,14 +503,14 @@ class TestSweepFaults:
     ):
         from repro.core.partition import fully_partitioned
 
-        connection = Connection(tiny_db, CostModel())
-        result = sweep_partitions(
-            q1_tree, tiny_db.schema, connection,
+        session = Session(Connection(tiny_db, CostModel()), cache=False)
+        result = session.sweep(
+            QUERY_1,
             partitions=[fully_partitioned(q1_tree)],
             cache=False,
             retry=RetryPolicy(max_attempts=2),
             faults=FaultPolicy(seed=0, fail_streams={"S1": None}),
-        )
+        ).sweep
         assert len(result.failed()) == 1
         timing = result.failed()[0]
         assert timing.failed and not timing.timed_out
@@ -520,14 +520,14 @@ class TestSweepFaults:
     def test_sweep_options_bundle(self, q1_tree, tiny_db):
         from repro.core.partition import unified_partition
 
-        connection = Connection(tiny_db, CostModel())
+        session = Session(Connection(tiny_db, CostModel()), cache=False)
         opts = ExecutionOptions(faults=FaultPolicy(seed=7, error_rate=0.4),
                                 retry=RetryPolicy(max_attempts=6))
-        result = sweep_partitions(
-            q1_tree, tiny_db.schema, connection,
+        result = session.sweep(
+            QUERY_1,
             partitions=[unified_partition(q1_tree)],
             cache=False, options=opts,
-        )
+        ).sweep
         assert len(result.completed()) == 1
 
 

@@ -31,6 +31,7 @@ from repro.relational.engine import CostModel
 from repro.relational.estimator import CostEstimator
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.tpch.generator import TpchGenerator, TpchScale
+from repro.xmlgen.streams import XmlDocumentCache
 
 TINY = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
 
@@ -234,6 +235,35 @@ class TestNodeResultCache:
         assert node_cache.max_entries == 5
         assert node_cache.retention_bytes == 1e6
         assert len(node_cache) <= 5
+
+
+class TestDocumentCacheBudget:
+    def test_byte_budget_evicts_least_recent_and_stays_within(self):
+        cache = XmlDocumentCache(max_bytes=250)
+        for key in range(4):
+            cache.store(key, ("x" * 100, None))
+            assert cache.stats()["bytes"] <= 250
+        assert cache.stats()["evictions"] == 2
+        assert cache.get(0) is None and cache.get(1) is None
+        cache.get(2)  # now most recently served: 3 is evicted next
+        cache.store(4, ("y" * 100, None))
+        assert cache.get(3) is None
+        assert cache.get(2) is not None and cache.get(4) is not None
+        assert cache.stats()["bytes"] == 200
+
+    def test_session_budget_bounds_materialized_documents(self):
+        _, _, _, view = fresh_setup()
+        compact = view.materialize("fully-partitioned").xml
+        indented = view.materialize("fully-partitioned", indent=2).xml
+        budget = max(len(compact), len(indented)) + 1
+        view.document_cache.clear()
+        view.document_cache.max_bytes = budget
+        view.materialize("fully-partitioned")
+        view.materialize("fully-partitioned", indent=2)
+        stats = view.document_cache.stats()
+        assert stats["evictions"] == 1
+        assert stats["entries"] == 1
+        assert stats["bytes"] == len(indented) <= budget
 
 
 # ---------------------------------------------------------------------------

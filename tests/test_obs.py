@@ -24,7 +24,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1
-from repro.bench.sweep import sweep_partitions
 from repro.core.options import ExecutionOptions
 from repro.core.partition import enumerate_partitions
 from repro.core.silkroute import SilkRoute
@@ -45,6 +44,7 @@ from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.session import Session
 
 
 def fresh_view(tiny_db, tiny_estimator, **silk_kwargs):
@@ -285,15 +285,13 @@ class TestObservationIdentity:
         # Both runs pass an options object: an explicit ExecutionOptions
         # supplies its own reduce default, overriding the sweep's
         # per-method reduce=False.
-        baseline = sweep_partitions(
-            q1_tree, schema, Connection(tiny_db, CostModel()),
-            partitions=partitions, options=ExecutionOptions(),
-        )
+        baseline = Session(Connection(tiny_db, CostModel()), cache=False).sweep(
+            QUERY_1, partitions=partitions, options=ExecutionOptions(),
+        ).sweep
         obs = ObsOptions()
-        traced = sweep_partitions(
-            q1_tree, schema, Connection(tiny_db, CostModel()),
-            partitions=partitions, options=ExecutionOptions(obs=obs),
-        )
+        traced = Session(Connection(tiny_db, CostModel()), cache=False).sweep(
+            QUERY_1, partitions=partitions, options=ExecutionOptions(obs=obs),
+        ).sweep
         assert (
             [t.total_ms for t in traced.timings]
             == [t.total_ms for t in baseline.timings]

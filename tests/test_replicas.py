@@ -24,7 +24,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1
-from repro.bench.sweep import sweep_partitions
 from repro.common.errors import (
     ExecutionError,
     OverloadError,
@@ -45,6 +44,7 @@ from repro.relational.replicas import (
     resolve_admission,
     resolve_pool,
 )
+from repro.session import Session
 
 
 def fresh_view(tiny_db, tiny_estimator, **silk_kwargs):
@@ -555,32 +555,30 @@ class TestSweepReplicas:
     def test_sweep_with_replicas_times_identically(self, q1_tree, tiny_db):
         partitions = [unified_partition(q1_tree),
                       fully_partitioned(q1_tree)]
-        clean = sweep_partitions(
-            q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
-            partitions=partitions, cache=False,
-        )
-        replicated = sweep_partitions(
-            q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
-            partitions=partitions, cache=False,
+        clean = Session(Connection(tiny_db, CostModel()), cache=False).sweep(
+            QUERY_1, partitions=partitions, cache=False,
+        ).sweep
+        replicated = Session(Connection(tiny_db, CostModel()), cache=False).sweep(
+            QUERY_1, partitions=partitions, cache=False,
             replicas=3, hedge_ms=5.0,
             faults=FaultPolicy(seed=5, error_rate=0.3),
             retry=RetryPolicy(max_attempts=5),
-        )
+        ).sweep
         assert [t.query_ms for t in replicated.timings] == \
                [t.query_ms for t in clean.timings]
         assert [t.transfer_ms for t in replicated.timings] == \
                [t.transfer_ms for t in clean.timings]
 
     def test_sweep_sheds_over_capacity_plans(self, q1_tree, tiny_db):
-        result = sweep_partitions(
-            q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
+        result = Session(Connection(tiny_db, CostModel()), cache=False).sweep(
+            QUERY_1,
             partitions=[unified_partition(q1_tree),
                         fully_partitioned(q1_tree)],
             cache=False,
             max_concurrent=AdmissionPolicy(
                 max_concurrent_streams=2, max_queued_streams=3,
             ),
-        )
+        ).sweep
         # The unified plan (1 stream) fits; the 10-stream plan is shed.
         assert len(result.completed()) == 1
         assert len(result.shed()) == 1

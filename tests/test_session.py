@@ -19,7 +19,7 @@ from repro import (
     unified_partition,
 )
 from repro.bench.queries import QUERY_1
-from repro.bench.sweep import sweep_partitions
+from repro.bench.sweep import _sweep_partitions
 from repro.common.errors import OverloadError
 from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
@@ -127,12 +127,11 @@ class TestSweep:
         assert len(result.sweep.timings) == 2
         assert "sweep_cache" in result.stats
 
-    def test_module_level_sweep_is_deprecated_but_equivalent(
+    def test_session_sweep_matches_the_sweep_engine(
             self, session, q1_tree, schema, tiny_conn):
         partitions = [unified_partition(q1_tree)]
-        with pytest.warns(DeprecationWarning, match="Session.sweep"):
-            old = sweep_partitions(q1_tree, schema, tiny_conn,
-                                   partitions=partitions)
+        old = _sweep_partitions(q1_tree, schema, tiny_conn,
+                                partitions=partitions)
         new = session.sweep(QUERY_1, partitions=[
             unified_partition(session.view(QUERY_1).tree)])
         assert [t.query_ms for t in old.timings] == \
