@@ -18,7 +18,7 @@ thread pool with deterministic result ordering.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.core.options import UNSET, resolve_options
+from repro.core.options import resolve_options
 from repro.core.partition import enumerate_partitions
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import obs_parts
@@ -112,39 +112,43 @@ class SweepResult:
         return series
 
 
-def run_single_partition(tree, schema, connection, partition,
-                         style=PlanStyle.OUTER_JOIN, reduce=False,
-                         budget_ms=None, generator=None, stream_workers=None,
-                         retry=None, faults=None, obs=None, span_parent=None,
-                         pool=None, hedge_ms=None, admission=None,
-                         epoch=None, engine=None, batch_size=None,
-                         expect_generations=None):
+def run_single_partition(tree, schema, connection, partition, *,
+                         generator=None, stream_workers=None,
+                         span_parent=None, epoch=None,
+                         expect_generations=None, options=None,
+                         **overrides):
     """Execute one plan; returns a :class:`PlanTiming`.
 
-    Pass a prebuilt ``generator`` (one per sweep) to reuse its memoized
-    per-subtree stream specs across partitions.  ``stream_workers``
-    dispatches the plan's subqueries concurrently
-    (:func:`repro.relational.dispatch.execute_specs`); the recorded
-    simulated timings and timeout behaviour are identical either way.
-    ``retry``/``faults`` run the plan under the resilience regime: a
-    stream that exhausts its retries marks the timing ``failed`` (sweeps
-    record, they do not degrade).  ``pool``/``hedge_ms``/``epoch`` route
-    the streams over a :class:`~repro.relational.replicas.ReplicaPool`
-    (a sweep pins one ``epoch`` for all partitions so routing stays
-    deterministic under partition-level concurrency); ``admission``
-    sheds overloaded plans, marking the timing ``shed``.  ``obs`` (an
-    :class:`~repro.obs.ObsOptions` session) wraps the run in a
-    ``partition`` span and records per-stream metrics.
+    Execution knobs come from ``options`` and keyword ``overrides`` (see
+    :func:`~repro.core.options.resolve_options`; ``reduce`` defaults to
+    False).  ``retry``/``faults`` run the plan under the resilience
+    regime: a stream that exhausts its retries marks the timing
+    ``failed`` (sweeps record, they do not degrade).
+    ``replicas``/``hedge_ms`` route the streams over a
+    :class:`~repro.relational.replicas.ReplicaPool` and
+    ``max_concurrent`` sheds overloaded plans, marking the timing
+    ``shed``.  ``obs`` (an :class:`~repro.obs.ObsOptions` session) wraps
+    the run in a ``partition`` span and records per-stream metrics.
+
+    The rest is per-sweep plumbing.  Pass a prebuilt ``generator`` (one
+    per sweep) to reuse its memoized per-subtree stream specs across
+    partitions.  ``stream_workers`` dispatches the plan's subqueries
+    concurrently (:func:`repro.relational.dispatch.execute_specs`); the
+    recorded simulated timings and timeout behaviour are identical either
+    way.  A sweep pins one routing ``epoch`` for all partitions so
+    routing stays deterministic under partition-level concurrency, and
+    ``expect_generations`` makes every dispatch check the data it reads.
     """
+    opts = resolve_options(options, {"reduce": False}, **overrides)
+    tracer, _ = obs_parts(opts.obs)
     if generator is None:
-        generator = SqlGenerator(tree, schema, style=style, reduce=reduce,
-                                 tracer=obs_parts(obs)[0])
-    tracer, _ = obs_parts(obs)
+        generator = SqlGenerator(tree, schema, style=opts.style,
+                                 reduce=opts.reduce, keep=opts.keep,
+                                 tracer=tracer)
     with tracer.span("partition", parent=span_parent) as partition_span:
         timing = _run_single(
-            tree, schema, connection, partition, generator, budget_ms,
-            stream_workers, retry, faults, obs, pool, hedge_ms, admission,
-            epoch, engine, batch_size, expect_generations,
+            connection, partition, generator, opts, stream_workers, epoch,
+            expect_generations,
         )
         partition_span.set(n_streams=timing.n_streams)
         if timing.timed_out:
@@ -158,16 +162,16 @@ def run_single_partition(tree, schema, connection, partition,
         return timing
 
 
-def _run_single(tree, schema, connection, partition, generator, budget_ms,
-                stream_workers, retry, faults, obs, pool=None, hedge_ms=None,
-                admission=None, epoch=None, engine=None, batch_size=None,
-                expect_generations=None):
+def _run_single(connection, partition, generator, opts, stream_workers,
+                epoch, expect_generations):
     specs = generator.streams_for_partition(partition)
     result = execute_specs(
-        connection, specs, budget_ms=budget_ms, workers=stream_workers,
-        retry=retry, faults=faults, obs=obs, pool=pool, hedge_ms=hedge_ms,
-        admission=admission, epoch=epoch, engine=engine,
-        batch_size=batch_size, expect_generations=expect_generations,
+        connection, specs, budget_ms=opts.budget_ms, workers=stream_workers,
+        retry=opts.retry, faults=opts.faults, obs=opts.obs,
+        pool=resolve_pool(opts.replicas, connection), hedge_ms=opts.hedge_ms,
+        admission=resolve_admission(opts.max_concurrent), epoch=epoch,
+        engine=opts.engine, batch_size=opts.batch_size,
+        expect_generations=expect_generations,
     )
     all_stats = list(result.stats)
     failure_stats = getattr(result.failure, "stats", None)
@@ -205,22 +209,19 @@ def _run_single(tree, schema, connection, partition, generator, budget_ms,
     )
 
 
-def _sweep_partitions(tree, schema, connection, style=UNSET,
-                      reduce=UNSET, budget_ms=UNSET, partitions=None,
-                      progress=None, cache=True, workers=UNSET,
-                      stream_workers=None, retry=UNSET, faults=UNSET,
-                      replicas=UNSET, hedge_ms=UNSET, max_concurrent=UNSET,
-                      engine=UNSET, batch_size=UNSET, options=None):
+def _sweep_partitions(tree, schema, connection, *, partitions=None,
+                      progress=None, cache=True, stream_workers=None,
+                      options=None, **overrides):
     """Execute every plan (or the given ``partitions``); returns a
     :class:`SweepResult`.
 
-    Execution knobs (``style``, ``reduce``, ``budget_ms``, ``workers``,
-    ``retry``, ``faults``) may be bundled in an
-    :class:`~repro.core.options.ExecutionOptions` passed as ``options=``;
-    explicit keywords win.  In a sweep, ``workers`` fans *partitions* out
-    over a thread pool of that size (``stream_workers`` is the per-plan
-    subquery fan-out).  The per-method default ``reduce=False`` applies
-    when neither a keyword nor an options object supplies a value.
+    Execution knobs come from an
+    :class:`~repro.core.options.ExecutionOptions` passed as ``options=``
+    and keyword ``overrides`` naming its fields; keywords win.  In a
+    sweep, ``workers`` fans *partitions* out over a thread pool of that
+    size (``stream_workers`` is the per-plan subquery fan-out).  The
+    per-method default ``reduce=False`` applies when no options object is
+    passed.
 
     ``cache`` controls cross-plan result caching for the duration of the
     sweep, through the same :func:`~repro.relational.cache.resolve_cache`
@@ -257,27 +258,15 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
     not during one — the dependency-scoped caches then re-materialize
     only the affected plans.
     """
-    opts = resolve_options(
-        options, defaults={"reduce": False}, style=style, reduce=reduce,
-        budget_ms=budget_ms, workers=workers, retry=retry, faults=faults,
-        replicas=replicas, hedge_ms=hedge_ms, max_concurrent=max_concurrent,
-        engine=engine, batch_size=batch_size,
-    )
-    style, reduce = opts.style, opts.reduce
-    budget_ms, workers = opts.budget_ms, opts.workers
+    opts = resolve_options(options, {"reduce": False}, **overrides)
     tracer, metrics = obs_parts(opts.obs)
     if partitions is None:
         partitions = list(enumerate_partitions(tree))
     generator = SqlGenerator(
-        tree, schema, style=style, reduce=reduce, keep=opts.keep,
+        tree, schema, style=opts.style, reduce=opts.reduce, keep=opts.keep,
         tracer=tracer,
     )
     query_engine = connection.engine
-    if opts.node_cache_entries is not None or opts.retention_bytes is not None:
-        query_engine.configure_node_cache(
-            max_entries=opts.node_cache_entries,
-            retention_bytes=opts.retention_bytes,
-        )
     pinned_generations = connection.database.table_generations()
     previous = query_engine.cache
     if cache is True:
@@ -292,12 +281,13 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
     # the cache the sweep actually runs under.
     replica_pool = resolve_pool(opts.replicas, connection)
     admission = resolve_admission(opts.max_concurrent)
+    opts = opts.replace(replicas=replica_pool, max_concurrent=admission)
     if admission is not None:
         stream_workers = admission.clamp_workers(stream_workers)
     epoch = replica_pool.begin_epoch() if replica_pool is not None else None
     try:
         with tracer.span(
-            "sweep", style=style.value, plans=len(partitions),
+            "sweep", style=opts.style.value, plans=len(partitions),
         ) as sweep_span:
             # Captured in the submitting thread so worker-thread partition
             # spans still hang under the sweep span.
@@ -305,17 +295,14 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
 
             def run(partition):
                 return run_single_partition(
-                    tree, schema, connection, partition,
-                    style=style, reduce=reduce, budget_ms=budget_ms,
-                    generator=generator, stream_workers=stream_workers,
-                    retry=opts.retry, faults=opts.faults, obs=opts.obs,
-                    span_parent=parent, pool=replica_pool,
-                    hedge_ms=opts.hedge_ms, admission=admission, epoch=epoch,
-                    engine=opts.engine, batch_size=opts.batch_size,
-                    expect_generations=pinned_generations,
+                    tree, schema, connection, partition, generator=generator,
+                    stream_workers=stream_workers, span_parent=parent,
+                    epoch=epoch, expect_generations=pinned_generations,
+                    options=opts,
                 )
 
             timings = []
+            workers = opts.workers
             if workers is not None and workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     for i, timing in enumerate(pool.map(run, partitions)):
@@ -346,5 +333,6 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
             replica_pool.finish_epoch(epoch)
         query_engine.cache = previous
     return SweepResult(
-        timings=timings, style=style, reduced=reduce, cache_stats=stats
+        timings=timings, style=opts.style, reduced=opts.reduce,
+        cache_stats=stats,
     )

@@ -1,44 +1,27 @@
 """One options object for the whole execution surface.
 
-The execution-facing methods (``XmlView.materialize``, ``materialize_to``,
-``execute_partition``, ``explain``, ``greedy_plan``,
-``Session.sweep``) historically grew the same keyword
-sprawl — ``style``, ``reduce``, ``budget_ms``, ``workers``, and now
-``retry``/``faults``.  :class:`ExecutionOptions` consolidates them: build
-one frozen object, pass it as ``options=`` everywhere, share it across
-calls and threads.
-
-Explicit keyword arguments always win over option fields, so existing
-call sites keep working unchanged and one-off overrides stay cheap::
+Every execution entry point — ``XmlView.materialize``, ``materialize_to``,
+``execute_partition``, ``explain``, ``greedy_plan``, the sweep, and the
+matching :class:`~repro.session.Session` methods — takes its knobs one
+way: ``options=`` (a frozen :class:`ExecutionOptions`, shareable across
+calls and threads) plus ``**overrides`` naming its fields.  None of them
+declares a field as a parameter of its own; :func:`resolve_options`
+merges the two, and an override always wins over the options field::
 
     opts = ExecutionOptions(budget_ms=300_000, workers=4,
                             retry=RetryPolicy(max_attempts=3))
     view.materialize(options=opts)                   # uses everything
     view.materialize(options=opts, workers=1)        # one-off override
 
-Methods keep their historical per-method defaults (``explain`` and
-``execute_partition`` default ``reduce=False``; the materializers default
-``reduce=True``) — those apply only when neither the keyword nor an
-``options`` object supplies a value.
+A name that is not a field raises :class:`TypeError`.  Methods keep their
+per-method defaults (``explain``, ``execute_partition`` and the sweep
+default ``reduce=False``; the materializers ``reduce=True``) — those apply
+only when the caller passes no ``options`` object.
 """
 
 from dataclasses import dataclass, fields
 
 from repro.core.sqlgen import PlanStyle
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from explicit None/False."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<unset>"
-
-
-#: The module-wide sentinel used as the default of every overridable
-#: keyword on the execution surface.
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -95,13 +78,10 @@ class ExecutionOptions:
     simulated oracle, wall-clock recorded separately, results and
     simulated timings untouched.
 
-    The incremental-maintenance knobs bound the batch engine's
-    :class:`~repro.relational.cache.NodeResultCache`:
-    ``node_cache_entries`` caps the entry count (default 4096) and
-    ``retention_bytes`` is the workload-driven byte budget applied after
-    each mutation's invalidation pass — surviving sub-plan results are
-    scored hottest-per-byte and only the best are retained.  ``None``
-    leaves the engine's current bounds unchanged.
+    Fields a path cannot use are ignored there: ``materialize_to`` has no
+    dispatch layer, so ``workers``, ``retry`` and ``hedge_ms`` do nothing
+    on it.  Durability is not an execution knob — pass ``wal=`` /
+    ``checkpoint_every=`` to :class:`~repro.session.Session`.
 
     Hashable as long as its fields are, so it can key plan caches
     (``ObsOptions`` hashes by identity).
@@ -128,24 +108,11 @@ class ExecutionOptions:
     #: reports (see :mod:`repro.relational.backends`).  Backend instances
     #: hash by identity, keeping the options bundle hashable.
     backend: object = None
-    node_cache_entries: int = None
-    retention_bytes: float = None
     #: Optional :class:`RequestContext` naming the client request this
     #: execution serves; errors raised anywhere under the dispatch carry
     #: its tenant/request id.  Purely diagnostic — never affects results,
     #: timings, or cache keys.
     request: object = None
-    #: Durability knobs, consumed by :class:`~repro.session.Session` (and
-    #: ``repro serve --wal``): ``wal_path`` is a directory for the
-    #: :class:`~repro.relational.wal.WriteAheadLog` (snapshot + log) the
-    #: session's database commits mutations through — on a restart the
-    #: same path recovers the pre-crash state; ``checkpoint_every``
-    #: snapshots + truncates after every N commit records (None never
-    #: auto-checkpoints).  Like ``obs``/``request``, these never affect
-    #: results, simulated timings, or cache keys — the serving layer
-    #: strips them from its canonical option keys.
-    wal_path: object = None
-    checkpoint_every: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "keep", tuple(self.keep))
@@ -160,30 +127,22 @@ class ExecutionOptions:
 _FIELDS = frozenset(f.name for f in fields(ExecutionOptions))
 
 
-def resolve_options(options=None, defaults=None, **explicit):
-    """Merge explicit keywords over ``options`` over per-method defaults.
+def resolve_options(options=None, defaults=None, **overrides):
+    """Merge keyword ``overrides`` over ``options`` over per-method
+    ``defaults``; returns a resolved :class:`ExecutionOptions`.
 
-    ``explicit`` values equal to :data:`UNSET` are dropped; remaining
-    precedence is explicit keyword > ``options`` field > ``defaults`` entry
-    > :class:`ExecutionOptions` field default.  Returns a resolved
-    :class:`ExecutionOptions`.
+    Precedence is override > ``options`` field > ``defaults`` entry >
+    :class:`ExecutionOptions` field default.  An ``options`` object is
+    taken at face value — a frozen dataclass cannot tell a field left at
+    its default from one set explicitly — so ``defaults`` apply only when
+    ``options`` is None.  An override that names no field raises
+    :class:`TypeError`.
     """
     if options is None:
         options = ExecutionOptions(**(defaults or {}))
-    elif defaults:
-        # Per-method defaults apply only to fields the caller's options
-        # object was *not* asked about... there is no way to tell a field
-        # left at its default from one set explicitly on a frozen
-        # dataclass, so an options object is taken at face value: all its
-        # fields apply.  This is the documented contract.
-        pass
-    unknown = set(explicit) - _FIELDS
+    unknown = set(overrides) - _FIELDS
     if unknown:
         raise TypeError(f"unknown execution option(s): {sorted(unknown)}")
-    overrides = {
-        name: value for name, value in explicit.items()
-        if value is not UNSET
-    }
     if overrides:
         options = options.replace(**overrides)
     return options

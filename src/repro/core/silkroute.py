@@ -11,9 +11,9 @@ downstream user works with::
     print(result.xml)
     print(result.report.total_ms)
 
-Execution knobs can be passed individually or bundled in a frozen
-:class:`~repro.core.options.ExecutionOptions` (``options=``); explicit
-keywords override option fields.
+Execution knobs come in a frozen
+:class:`~repro.core.options.ExecutionOptions` (``options=``) and/or as
+keywords naming its fields; a keyword overrides the options field.
 
 Execution is *fault tolerant*: with a
 :class:`~repro.relational.faults.FaultPolicy` installed on the connection
@@ -36,7 +36,7 @@ from repro.common.errors import PlanError, TimeoutExceeded, tag_request
 from repro.relational.replicas import resolve_admission, resolve_pool
 from repro.core.greedy import GreedyPlanner
 from repro.core.labeling import label_view_tree
-from repro.core.options import UNSET, resolve_options
+from repro.core.options import resolve_options
 from repro.core.partition import (
     Partition,
     Subtree,
@@ -253,8 +253,7 @@ class XmlView:
     def enumerate_partitions(self):
         return enumerate_partitions(self.tree)
 
-    def greedy_plan(self, params=None, style=UNSET, reduce=UNSET, keep=UNSET,
-                    options=None, obs=UNSET):
+    def greedy_plan(self, params=None, *, options=None, **overrides):
         """Run the Sec. 5 algorithm; returns a
         :class:`repro.core.greedy.GreedyPlan`.
 
@@ -267,9 +266,7 @@ class XmlView:
         remembered: adaptive degradation consults it to re-plan a failing
         subtree along the family's optional edges.
         """
-        opts = resolve_options(
-            options, style=style, reduce=reduce, keep=keep, obs=obs
-        )
+        opts = resolve_options(options, **overrides)
         key = (opts.style, bool(opts.reduce), tuple(opts.keep))
         planner = self._planners.get(key)
         if planner is None:
@@ -288,17 +285,15 @@ class XmlView:
 
     # -- execution ------------------------------------------------------------------
 
-    def explain(self, partition=None, style=UNSET, reduce=UNSET,
-                use_with=False, options=None):
+    def explain(self, partition=None, *, use_with=False, options=None,
+                **overrides):
         """The SQL queries a plan would send, without executing them.
 
         ``use_with`` phrases shared node queries as common table
         expressions (requires a target whose source description supports
         the ``with`` clause)."""
-        opts = resolve_options(
-            options, defaults={"reduce": False}, style=style, reduce=reduce
-        )
-        partition = self._resolve_partition(partition, opts.style, opts.reduce)
+        opts = resolve_options(options, {"reduce": False}, **overrides)
+        partition = self._resolve_partition(partition, opts)
         generator = SqlGenerator(
             self.tree, self.silkroute.schema, style=opts.style,
             reduce=opts.reduce, keep=opts.keep,
@@ -309,11 +304,7 @@ class XmlView:
             return [spec.sql_with for spec in specs]
         return [spec.sql for spec in specs]
 
-    def execute_partition(self, partition, style=UNSET, reduce=UNSET,
-                          budget_ms=UNSET, workers=UNSET, retry=UNSET,
-                          faults=UNSET, replicas=UNSET, hedge_ms=UNSET,
-                          max_concurrent=UNSET, engine=UNSET,
-                          batch_size=UNSET, backend=UNSET, options=None):
+    def execute_partition(self, partition, *, options=None, **overrides):
         """Execute one plan; returns ``(specs, streams, report)``.
 
         A subquery exceeding ``budget_ms`` (simulated server time) marks the
@@ -360,15 +351,8 @@ class XmlView:
         report).  Pooled runs produce byte-identical XML and identical
         ``query_ms``/``transfer_ms`` to the single-connection run.
         """
-        opts = resolve_options(
-            options, defaults={"reduce": False}, style=style, reduce=reduce,
-            budget_ms=budget_ms, workers=workers, retry=retry, faults=faults,
-            replicas=replicas, hedge_ms=hedge_ms,
-            max_concurrent=max_concurrent, engine=engine,
-            batch_size=batch_size, backend=backend,
-        )
+        opts = resolve_options(options, {"reduce": False}, **overrides)
         opts = self._resolve_resilience(opts)
-        self._configure_node_cache(opts)
         tracer, _ = obs_parts(opts.obs)
         generator = SqlGenerator(
             self.tree, self.silkroute.schema, style=opts.style,
@@ -407,15 +391,6 @@ class XmlView:
                 source.check_plan_features(
                     spec.uses_outer_join(), spec.uses_union()
                 )
-
-    def _configure_node_cache(self, opts):
-        """Apply the per-call node-result cache bounds, when set."""
-        if (opts.node_cache_entries is not None
-                or opts.retention_bytes is not None):
-            self.silkroute.connection.engine.configure_node_cache(
-                max_entries=opts.node_cache_entries,
-                retention_bytes=opts.retention_bytes,
-            )
 
     def _resolve_resilience(self, opts):
         """Normalize ``opts.replicas``/``opts.max_concurrent`` to live
@@ -712,21 +687,17 @@ class XmlView:
             self.silkroute.connection.engine.node_cache.publish(metrics)
         return report
 
-    def materialize(self, partition=None, style=UNSET, reduce=UNSET,
-                    root_tag="view", indent=None, budget_ms=UNSET,
-                    greedy_params=None, workers=UNSET, retry=UNSET,
-                    faults=UNSET, replicas=UNSET, hedge_ms=UNSET,
-                    max_concurrent=UNSET, engine=UNSET, batch_size=UNSET,
-                    backend=UNSET, options=None):
+    def materialize(self, partition=None, *, root_tag="view", indent=None,
+                    greedy_params=None, options=None, **overrides):
         """Materialize the view as XML.
 
         Without an explicit ``partition``, the greedy algorithm chooses the
         plan (its recommended member).  ``partition`` may also be the string
         ``"unified"`` or ``"fully-partitioned"``.  ``workers`` dispatches
         the plan's subqueries concurrently (see :meth:`execute_partition`);
-        the produced document is identical either way.  Knobs may be
-        bundled in an :class:`~repro.core.options.ExecutionOptions`
-        (``options=``); explicit keywords win.
+        the produced document is identical either way.  Knobs come in an
+        :class:`~repro.core.options.ExecutionOptions` (``options=``) and/or
+        as keywords naming its fields; keywords win.
 
         With ``retry``/``faults`` (see :meth:`execute_partition`),
         transient stream failures are retried and degraded around: the
@@ -746,18 +717,10 @@ class XmlView:
         same way, and admission shedding raises
         :class:`~repro.common.errors.OverloadError` likewise.
         """
-        opts = resolve_options(
-            options, style=style, reduce=reduce, budget_ms=budget_ms,
-            workers=workers, retry=retry, faults=faults, replicas=replicas,
-            hedge_ms=hedge_ms, max_concurrent=max_concurrent,
-            engine=engine, batch_size=batch_size, backend=backend,
-        )
+        opts = resolve_options(options, **overrides)
         tracer, _ = obs_parts(opts.obs)
         with tracer.span("materialize") as root_span:
-            partition = self._resolve_partition(
-                partition, opts.style, opts.reduce, greedy_params,
-                keep=opts.keep, obs=opts.obs,
-            )
+            partition = self._resolve_partition(partition, opts, greedy_params)
             specs, streams, report = self.execute_partition(
                 partition, options=opts
             )
@@ -814,11 +777,9 @@ class XmlView:
             root_span.set(streams=len(specs), chars=len(xml))
         return MaterializedView(xml=xml, report=report, tagger=tagger)
 
-    def materialize_to(self, sink, partition=None, style=UNSET, reduce=UNSET,
-                       root_tag="view", indent=None, budget_ms=UNSET,
-                       greedy_params=None, faults=UNSET, replicas=UNSET,
-                       max_concurrent=UNSET, engine=UNSET, batch_size=UNSET,
-                       backend=UNSET, options=None):
+    def materialize_to(self, sink, partition=None, *, root_tag="view",
+                       indent=None, greedy_params=None, options=None,
+                       **overrides):
         """Stream the view's XML into a file-like ``sink`` in bounded memory.
 
         The full pipeline runs lazily: each subquery executes through the
@@ -850,20 +811,13 @@ class XmlView:
         reason); ``max_concurrent`` applies the admission queue bound —
         an overflowing plan raises
         :class:`~repro.common.errors.OverloadError` before any cursor
-        opens.
+        opens.  The dispatch-only fields (``workers``, ``retry``,
+        ``hedge_ms``) are ignored here, as keywords or in ``options``.
         """
-        opts = resolve_options(
-            options, style=style, reduce=reduce, budget_ms=budget_ms,
-            faults=faults, replicas=replicas, max_concurrent=max_concurrent,
-            engine=engine, batch_size=batch_size, backend=backend,
-        )
-        opts = self._resolve_resilience(opts)
+        opts = self._resolve_resilience(resolve_options(options, **overrides))
         tracer, _ = obs_parts(opts.obs)
         with tracer.span("materialize_to") as root_span:
-            partition = self._resolve_partition(
-                partition, opts.style, opts.reduce, greedy_params,
-                keep=opts.keep, obs=opts.obs,
-            )
+            partition = self._resolve_partition(partition, opts, greedy_params)
             generator = SqlGenerator(
                 self.tree, self.silkroute.schema, style=opts.style,
                 reduce=opts.reduce, keep=opts.keep, tracer=tracer,
@@ -1014,12 +968,9 @@ class XmlView:
             root_tag=root_tag, indent=indent,
         )
 
-    def _resolve_partition(self, partition, style, reduce, greedy_params=None,
-                           keep=(), obs=None):
+    def _resolve_partition(self, partition, opts, greedy_params=None):
         if partition is None:
-            return self.greedy_plan(
-                greedy_params, style=style, reduce=reduce, keep=keep, obs=obs
-            ).recommended()
+            return self.greedy_plan(greedy_params, options=opts).recommended()
         if isinstance(partition, str):
             named = {
                 "unified": unified_partition,
@@ -1068,16 +1019,6 @@ class SilkRoute:
     @cache.setter
     def cache(self, cache):
         self.connection.cache = resolve_cache(cache)
-
-    @property
-    def faults(self):
-        """The connection's installed
-        :class:`~repro.relational.faults.FaultPolicy` (or None)."""
-        return self.connection.faults
-
-    @faults.setter
-    def faults(self, policy):
-        self.connection.faults = policy
 
     def define_view(self, rxl_text, simplify_args=False):
         """Parse, validate, and label an RXL view definition."""

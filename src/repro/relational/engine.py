@@ -261,6 +261,19 @@ class _Charges:
         if self.budget_ms is not None and self.total_ms > self.budget_ms:
             raise TimeoutExceeded(self.budget_ms, self.total_ms)
 
+    def recall(self, key, size=len):
+        """The memoized result of the shared sub-plan ``key``, or None.
+
+        A hit is the optimizer re-reading a common subexpression: it
+        counts in ``memo_hits`` and charges ``"rescan"`` per row
+        (``size(result)`` rows) — one formula for both engines."""
+        result = self.memo.get(key)
+        if result is not None:
+            self.memo_hits += 1
+            n = size(result)
+            self.charge("rescan", n * self.model.rescan_row_ms, n)
+        return result
+
     def replay(self, charge_log):
         """Re-apply a recorded charge log: the same additions in the same
         order as the original run, including raising ``TimeoutExceeded`` at
@@ -400,14 +413,6 @@ class QueryEngine:
         """The batch engine's :class:`~repro.relational.cache.NodeResultCache`
         (the "data half" sub-plan result cache)."""
         return self._node_results
-
-    def configure_node_cache(self, max_entries=None, retention_bytes=None):
-        """Adjust the node-result cache bounds (``None`` leaves a bound
-        unchanged) — the engine-level hook behind the
-        ``node_cache_entries`` / ``retention_bytes`` execution options."""
-        self._node_results.configure(
-            max_entries=max_entries, retention_bytes=retention_bytes
-        )
 
     def _refresh_dependencies(self, metrics=None):
         """Delta propagation: diff the live per-table generations against
@@ -694,12 +699,8 @@ class QueryEngine:
         once, so the charges made here (a memo rescan, a shared sub-plan
         drained into the memo) land where the first ``next()`` would."""
         key = op.fingerprint()
-        rows = charges.memo.get(key)
+        rows = charges.recall(key)
         if rows is not None:
-            charges.memo_hits += 1
-            charges.charge(
-                "rescan", len(rows) * self.cost_model.rescan_row_ms, len(rows)
-            )
             return iter(rows)
         if key in shared:
             rows = list(self._stream_fresh(op, charges, shared))

@@ -36,7 +36,7 @@ details:
 engine publishes them as per-operator metrics when observability is on.
 """
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from repro.common.errors import ExecutionError
 from repro.relational import algebra
@@ -177,6 +177,9 @@ def compile_plan(plan, engine, batch_size=DEFAULT_BATCH_SIZE):
     return CompiledPlan(compiler.compile(plan), plan.columns(), batch_size)
 
 
+_batch_length = attrgetter("length")
+
+
 def _note_batches(charges, label, n, batch_size):
     """Count the chunks operator ``label`` processed (observability only;
     never touches the simulated clock)."""
@@ -208,22 +211,17 @@ class _PlanCompiler:
 
     def compile(self, op):
         """Compile one operator, wrapped in the shared-sub-plan memo check
-        (the optimizer's common-subexpression reuse, as in ``_stream``)."""
+        (:meth:`~repro.relational.engine._Charges.recall`, as in
+        ``_stream``)."""
         fresh = self._fresh(op)
         fingerprint = op.fingerprint()
-        rescan_row_ms = self.model.rescan_row_ms
 
-        def run(charges, _fp=fingerprint, _fresh=fresh,
-                _rescan=rescan_row_ms):
-            memo = charges.memo
-            batch = memo.get(_fp)
+        def run(charges, _fp=fingerprint, _fresh=fresh):
+            batch = charges.recall(_fp, _batch_length)
             if batch is not None:
-                charges.memo_hits += 1
-                n = batch.length
-                charges.charge("rescan", n * _rescan, n)
                 return batch
             batch = _fresh(charges)
-            memo[_fp] = batch
+            charges.memo[_fp] = batch
             return batch
 
         return run

@@ -288,8 +288,7 @@ class Server:
                     or policy.max_queued_streams is not None
                     or policy.deadline_ms is not None):
                 opts = opts.replace(max_concurrent=policy)
-        return opts.replace(obs=None, request=None, wal_path=None,
-                            checkpoint_every=None)
+        return opts.replace(obs=None, request=None)
 
     def _append_log(self, kind, **payload):
         with self._log_lock:

@@ -185,8 +185,7 @@ class Session:
     generation counters, and the request-dedup map come back exactly as
     committed, and :attr:`recovery` carries the
     :class:`~repro.relational.wal.RecoveryReport`.  ``checkpoint_every``
-    snapshots + truncates the log after every N commit records.  Both
-    default from ``options.wal_path`` / ``options.checkpoint_every``.
+    snapshots + truncates the log after every N commit records.
     """
 
     def __init__(self, db=None, options=None, cache=True, estimator=None,
@@ -196,10 +195,6 @@ class Session:
         self.document_cache_bytes = document_cache_bytes
         self._views = {}
         self._silkroute = self._resolve(db, cache, estimator, source)
-        if wal is None and options is not None:
-            wal = options.wal_path
-        if checkpoint_every is None and options is not None:
-            checkpoint_every = options.checkpoint_every
         self.wal = None
         self.recovery = None
         if wal is not None:

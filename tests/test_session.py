@@ -19,10 +19,11 @@ from repro import (
     unified_partition,
 )
 from repro.bench.queries import QUERY_1
-from repro.bench.sweep import _sweep_partitions
+from repro.bench.sweep import _sweep_partitions, run_single_partition
 from repro.common.errors import OverloadError
 from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
+from repro.core.sqlgen import PlanStyle
 from repro.relational.replicas import AdmissionPolicy
 from repro.tpch.generator import TpchGenerator, TpchScale
 
@@ -194,3 +195,129 @@ class TestShedPartialReports:
         assert exc.report.n_streams > 1
         assert tuple(exc.report.shed_streams) == tuple(exc.shed)
         assert exc.report.streams == []
+
+
+def _report_key(report):
+    """Everything deterministic in a report: per-stream SQL, rows and
+    simulated timings (``attempts`` varies with the plan cache)."""
+    return (
+        report.query_ms, report.transfer_ms, report.workers,
+        report.elapsed_total_ms,
+        tuple((s.label, s.sql, s.rows, s.server_ms, s.transfer_ms)
+              for s in report.streams),
+    )
+
+
+def _sweep_key(sweep):
+    return (sweep.style, sweep.reduced,
+            tuple((t.partition, t.query_ms, t.transfer_ms, t.timed_out)
+                  for t in sweep.timings))
+
+
+def _greedy_plan(session, **kw):
+    plan = session.view(QUERY_1).greedy_plan(**kw)
+    return plan.mandatory, plan.optional
+
+
+def _explain(session, **kw):
+    return session.view(QUERY_1).explain("unified", **kw)
+
+
+def _execute_partition(session, **kw):
+    view = session.view(QUERY_1)
+    specs, _, report = view.execute_partition(
+        unified_partition(view.tree), **kw
+    )
+    return [spec.sql for spec in specs], _report_key(report)
+
+
+def _materialize(session, **kw):
+    result = session.view(QUERY_1).materialize(**kw)
+    return result.xml, _report_key(result.report)
+
+
+def _materialize_to(session, **kw):
+    sink = io.StringIO()
+    result = session.view(QUERY_1).materialize_to(sink, **kw)
+    return sink.getvalue(), _report_key(result.report)
+
+
+def _partitions(view):
+    return [fully_partitioned(view.tree), unified_partition(view.tree)]
+
+
+def _sweep_engine(session, **kw):
+    view = session.view(QUERY_1)
+    return _sweep_key(_sweep_partitions(
+        view.tree, session.silkroute.schema, session.connection,
+        partitions=_partitions(view), **kw,
+    ))
+
+
+def _run_single(session, **kw):
+    view = session.view(QUERY_1)
+    return run_single_partition(
+        view.tree, session.silkroute.schema, session.connection,
+        unified_partition(view.tree), **kw,
+    )
+
+
+def _session_materialize(session, **kw):
+    result = session.materialize(QUERY_1, "unified", **kw)
+    return result.xml, _report_key(result.report)
+
+
+def _session_sweep(session, **kw):
+    view = session.view(QUERY_1)
+    return _sweep_key(
+        session.sweep(QUERY_1, partitions=_partitions(view), **kw).sweep
+    )
+
+
+class TestOneKeywordPath:
+    """Every entry point takes knobs as ``options=`` plus keywords naming
+    its fields, with one result either way."""
+
+    # An options object replaces the per-method defaults wholesale, so
+    # the methods defaulting to reduce=False are driven on ``reduce``.
+    ENTRY_POINTS = [
+        (_greedy_plan, "reduce", False),
+        (_explain, "reduce", True),
+        (_execute_partition, "reduce", True),
+        (_materialize, "style", PlanStyle.OUTER_UNION),
+        (_materialize_to, "reduce", False),
+        (_sweep_engine, "reduce", True),
+        (_run_single, "reduce", True),
+        (_session_materialize, "workers", 2),
+        (_session_sweep, "reduce", True),
+    ]
+
+    @pytest.mark.parametrize(
+        "call,field,value", ENTRY_POINTS,
+        ids=[call.__name__.strip("_") for call, _, _ in ENTRY_POINTS],
+    )
+    def test_keyword_equals_options_field(self, session, call, field,
+                                          value):
+        as_keyword = call(session, **{field: value})
+        as_option = call(
+            session, options=ExecutionOptions(**{field: value})
+        )
+        assert as_keyword == as_option
+        assert as_keyword != call(session)  # the knob took effect
+
+    @pytest.mark.parametrize(
+        "call", [call for call, _, _ in ENTRY_POINTS],
+        ids=[call.__name__.strip("_") for call, _, _ in ENTRY_POINTS],
+    )
+    def test_unknown_keyword_raises(self, session, call):
+        with pytest.raises(TypeError, match="unknown execution option"):
+            call(session, retention_bytes=1e6)
+
+    def test_positional_knob_fails_loudly(self, session):
+        view = session.view(QUERY_1)
+        with pytest.raises(TypeError):
+            view.materialize(None, PlanStyle.OUTER_UNION)
+        with pytest.raises(TypeError):
+            view.execute_partition(
+                fully_partitioned(view.tree), PlanStyle.OUTER_UNION
+            )

@@ -381,9 +381,8 @@ class TestExactlyOnce:
 
 
 class TestSessionWiring:
-    def test_options_wal_path_builds_the_log(self, wal_dir):
-        options = ExecutionOptions(wal_path=wal_dir, checkpoint_every=2)
-        session = Session(fresh_db(), options=options)
+    def test_wal_argument_builds_the_log(self, wal_dir):
+        session = Session(fresh_db(), wal=wal_dir, checkpoint_every=2)
         assert session.wal is not None
         assert session.wal.checkpoint_every == 2
         session.mutate("Nation", op="insert", rows=1)
